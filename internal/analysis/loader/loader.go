@@ -19,6 +19,7 @@ package loader
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -186,7 +187,9 @@ func (l *Loader) loadDir(pkgPath, dir string) (*Package, error) {
 }
 
 // goFilesIn lists the buildable (non-test, non-ignored) Go files in dir,
-// sorted for determinism.
+// sorted for determinism. Build constraints are evaluated for the default
+// build context (this GOOS/GOARCH, no extra tags), so of a file and its
+// //go:build race twin only the first is loaded, as in `go vet`.
 func goFilesIn(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -197,6 +200,11 @@ func goFilesIn(dir string) ([]string, error) {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		names = append(names, name)

@@ -58,6 +58,16 @@ func TestLoadPatterns(t *testing.T) {
 		t.Fatal("lockapi loaded without a type-checked Cell")
 	}
 
+	// Build constraints select files: vthread declares Thread once per
+	// build, in a coroutine file and a race-detector twin.
+	pkgs, err = ld.Load("./internal/vthread")
+	if err != nil {
+		t.Fatalf("Load(./internal/vthread): %v", err)
+	}
+	if len(pkgs[0].Syntax) != 1 {
+		t.Fatalf("Load(./internal/vthread) parsed %d files, want the one for this build", len(pkgs[0].Syntax))
+	}
+
 	// A tree pattern loads subpackages but never testdata.
 	pkgs, err = ld.Load("./internal/analysis/...")
 	if err != nil {

@@ -2,10 +2,8 @@ package mcheck
 
 import (
 	"github.com/clof-go/clof/internal/lockapi"
+	"github.com/clof-go/clof/internal/vthread"
 )
-
-// stopExec unwinds thread goroutines at replay teardown.
-type stopExec struct{}
 
 // mcell is the checker's committed-memory state of one cell.
 type mcell struct {
@@ -97,20 +95,22 @@ type monEntry struct {
 // it offers the critical-section and fairness hooks the verification
 // programs use.
 //
-// Execution protocol: every operation *announces* itself (kind + footprint)
-// and parks before applying any effect; the grant then applies buffered
-// monitor calls and the operation's effects and runs the body to its next
-// announce. Monitor calls made between two operations are therefore applied
-// exactly when the later operation executes — the same instant they took
-// effect when operations parked after their effects — so the protocol
-// change is invisible to verdicts while giving the explorer the footprint
-// of every pending transition (the enabler for partial-order reduction).
+// Execution protocol: each thread body is a coroutine (internal/vthread)
+// of the explorer, so exactly one of the explorer and the bodies runs at any
+// instant. Every operation *announces* itself (kind + footprint) and yields
+// before applying any effect; the grant (exec.step, a Resume) then applies
+// buffered monitor calls and the operation's effects and runs the body to
+// its next announce. Monitor calls made between two operations are
+// therefore applied exactly when the later operation executes — the same
+// instant they took effect when operations yielded after their effects — so
+// the protocol is invisible to verdicts while giving the explorer the
+// footprint of every pending transition (the enabler for partial-order
+// reduction).
 type Proc struct {
-	ex     *exec
-	tid    int
-	resume chan struct{}
+	ex  *exec
+	tid int
+	th  *vthread.Thread
 
-	done bool
 	pend pending
 	monQ []monEntry
 
@@ -166,7 +166,6 @@ func mix(h uint64, vs ...uint64) uint64 {
 type exec struct {
 	mode    Mode
 	threads []*Proc
-	yield   chan struct{}
 	cells   map[*lockapi.Cell]*mcell
 
 	violation string
@@ -195,12 +194,12 @@ type exec struct {
 // announced operation. Pre-operation body code is thread-local by
 // construction (all shared accesses go through Proc), so sequential priming
 // is schedule-neutral; monitor calls made before the first operation are
-// buffered and take effect at its grant.
+// buffered and take effect at its grant. If a body panics while priming,
+// the threads already started are stopped before the panic propagates.
 func newExec(prog Program, cfg Config) *exec {
 	bodies := prog.Make()
 	ex := &exec{
 		mode:         cfg.Mode,
-		yield:        make(chan struct{}),
 		cells:        make(map[*lockapi.Cell]*mcell),
 		fairK:        cfg.FairnessK,
 		stale:        cfg.StaleLoads && cfg.Mode == WMM,
@@ -211,31 +210,24 @@ func newExec(prog Program, cfg Config) *exec {
 		ex.waitingSince[i] = -1
 		ex.lastStepIdx[i] = -1
 	}
+	primed := false
+	defer func() {
+		if !primed {
+			ex.shutdown()
+		}
+	}()
 	for i, body := range bodies {
-		p := &Proc{ex: ex, tid: i, resume: make(chan struct{}), hist: uint64(i) + 1}
-		ex.threads = append(ex.threads, p)
-		body := body
-		go func() {
-			defer func() {
-				stopped := false
-				if r := recover(); r != nil {
-					if _, s := r.(stopExec); !s {
-						panic(r)
-					}
-					stopped = true
-				}
-				if !stopped {
-					// Trailing monitor calls after the last operation take
-					// effect within that operation's grant.
-					p.drainMon()
-				}
-				p.done = true
-				ex.yield <- struct{}{}
-			}()
+		p := &Proc{ex: ex, tid: i, hist: uint64(i) + 1}
+		p.th = vthread.Spawn(func() {
 			body(p)
-		}()
-		<-ex.yield
+			// Trailing monitor calls after the last operation take effect
+			// within that operation's grant.
+			p.drainMon()
+		})
+		ex.threads = append(ex.threads, p)
+		p.th.Resume()
 	}
+	primed = true
 	return ex
 }
 
@@ -255,8 +247,7 @@ func (ex *exec) cell(c *lockapi.Cell) *mcell {
 func (ex *exec) step(t int, stale bool) {
 	p := ex.threads[t]
 	p.staleTake = stale
-	p.resume <- struct{}{}
-	<-ex.yield
+	p.th.Resume()
 	ex.lastFoot = p.execFoot
 	ex.lastStepIdx[t] = ex.stepCount
 	ex.stepCount++
@@ -285,14 +276,11 @@ func commit(m *mcell, v, tid, opIdx uint64) {
 	m.wTag = mix(0, tid+1, opIdx)
 }
 
-// shutdown terminates all live thread goroutines.
+// shutdown stops every thread that has not finished, unwinding the
+// suspended ones (see vthread.Thread.Stop).
 func (ex *exec) shutdown() {
 	for _, p := range ex.threads {
-		if p.done {
-			continue
-		}
-		close(p.resume)
-		<-ex.yield
+		p.th.Stop()
 	}
 }
 
@@ -301,7 +289,7 @@ func (ex *exec) enabledChoices() []Choice {
 	var out []Choice
 	for t, p := range ex.threads {
 		switch {
-		case p.done:
+		case p.th.Done():
 		case p.pend.kind == pkAwait:
 			if p.pend.awaitOn.version != p.pend.awaitVer {
 				out = append(out, Choice{TID: t, Flush: -1})
@@ -345,7 +333,7 @@ func (ex *exec) flushable(p *Proc, idx int) bool {
 // allDone reports full quiescence.
 func (ex *exec) allDone() bool {
 	for _, p := range ex.threads {
-		if !p.done || len(p.buffer) != 0 {
+		if !p.th.Done() || len(p.buffer) != 0 {
 			return false
 		}
 	}
@@ -368,7 +356,7 @@ func (ex *exec) fingerprint() fingerprint {
 		for t, p := range ex.threads {
 			status := uint64(0)
 			switch {
-			case p.done:
+			case p.th.Done():
 				status = 2
 			case p.pend.kind == pkAwait:
 				status = 1
@@ -376,7 +364,7 @@ func (ex *exec) fingerprint() fingerprint {
 				status = 3
 			}
 			th := mix(p.hist, status)
-			if !p.done && p.pend.kind == pkAwait {
+			if !p.th.Done() && p.pend.kind == pkAwait {
 				enabled := uint64(0)
 				if p.pend.awaitOn.version != p.pend.awaitVer {
 					enabled = 1
@@ -463,12 +451,6 @@ func (c *checker) replay(prefix []Choice) replayState {
 
 // ---- Proc: lockapi.Proc implementation ----
 
-func (p *Proc) waitTurn() {
-	if _, ok := <-p.resume; !ok {
-		panic(stopExec{})
-	}
-}
-
 // fpReset/fpAdd build the next announcement's footprint in the reusable
 // per-thread backing array.
 func (p *Proc) fpReset()                { p.footCells = p.footCells[:0] }
@@ -484,15 +466,14 @@ func (p *Proc) fpAddBuffer() {
 	}
 }
 
-// announce parks the thread with its next transition and waits for a grant;
-// on resume it records the executed footprint and applies the buffered
-// monitor calls (see the Proc comment for why this preserves exact verdict
-// timing).
+// announce parks the thread with its next transition and yields to the
+// explorer until the grant; on resume it records the executed footprint and
+// applies the buffered monitor calls (see the Proc comment for why this
+// preserves exact verdict timing).
 func (p *Proc) announce(pd pending) {
 	pd.foot = footprint{tid: p.tid, mon: p.monPending(), cells: p.footCells}
 	p.pend = pd
-	p.ex.yield <- struct{}{}
-	p.waitTurn()
+	p.th.Yield()
 	p.execCells = append(p.execCells[:0], p.pend.foot.cells...)
 	p.execFoot = footprint{tid: p.tid, mon: p.pend.foot.mon, cells: p.execCells}
 	p.drainMon()

@@ -200,7 +200,7 @@ func (c *porChecker) replay() porState {
 			}
 		}
 		for t, p := range ex.threads {
-			if !p.done {
+			if !p.th.Done() {
 				st.pendings = append(st.pendings, pendInfo{
 					key:   ckey{tid: t},
 					foot:  copyFoot(p.pend.foot),

@@ -13,33 +13,35 @@
 // operations in virtual-time order, so results are exactly reproducible for
 // a given seed.
 //
-// Virtual CPUs are goroutines in a strict turn-taking protocol with the
-// scheduler: at any instant at most one simulated operation executes, so
+// Virtual CPUs are coroutines (internal/vthread) driven by one loop in
+// Machine.Run: at any instant at most one simulated operation executes, so
 // the machine state needs no locking and the simulation is deterministic.
 //
-// # Execution core: the run-ahead fast path
+// # Execution core: one scheduler loop plus run-ahead
 //
-// The turn-taking protocol alone would cost two channel handoffs (four
-// goroutine context switches on one OS thread) per simulated memory
-// operation. The execution core avoids almost all of them: after charging
-// an operation, the running virtual CPU checks the event queue's cached
-// minimum inline, and if it is still strictly the globally earliest thread
-// — and inside the horizon — it simply keeps executing, advancing the
-// machine clock itself. Spin loops and uncontended critical sections, the
-// dominant operation streams of every lock benchmark, therefore run
-// handoff-free. When a thread does lose eligibility (or parks), it hands
-// the turn directly to the next-earliest thread with a single channel send
-// (Proc.handoff) instead of detouring through the scheduler goroutine,
-// which is left only termination, deadlock and thread-exit duty.
+// Machine.Run is the only scheduler. It pops the earliest (time, seq) event
+// from the queue, advances the machine clock, counts the event and resumes
+// the winning thread, which runs until it needs another grant. Each grant
+// that goes through the loop costs two coroutine switches (thread to loop,
+// loop to winner) and never involves the Go runtime's scheduler.
+//
+// Most grants skip even that. After charging an operation, the running
+// virtual CPU checks the event queue's cached minimum inline, and if it is
+// still strictly the globally earliest thread — and inside the horizon — it
+// simply keeps executing, advancing the machine clock itself
+// (Proc.yieldAt). Spin loops and uncontended critical sections, the
+// dominant operation streams of every lock benchmark, therefore run without
+// a switch. Only a thread that loses eligibility, parks or exits returns to
+// the loop.
 //
 // The fast path is semantically invisible. A thread may run ahead only
-// under exactly the condition that would make the scheduler re-grant it the
+// under exactly the condition that would make the loop re-grant it the
 // very next event (queue empty, or its time strictly below the queue
 // minimum — ties go to the queued entry, which was pushed earlier and holds
 // the smaller sequence number), so the (time, seq) grant order — and with
 // it every simulated result, including Result.Events — is bit-identical to
-// the scheduler-only protocol. Config.DisableRunAhead forces the old
-// protocol for benchmarks and equivalence tests.
+// the loop-only protocol. Config.DisableRunAhead forces every grant
+// through the loop for benchmarks and equivalence tests.
 package memsim
 
 import (
@@ -49,6 +51,7 @@ import (
 	"github.com/clof-go/clof/internal/eventq"
 	"github.com/clof-go/clof/internal/lockapi"
 	"github.com/clof-go/clof/internal/topo"
+	"github.com/clof-go/clof/internal/vthread"
 	"github.com/clof-go/clof/internal/xrand"
 )
 
@@ -136,8 +139,8 @@ type Config struct {
 	// Trace, when non-nil, receives one event per memory operation (after
 	// its effects commit). For debugging lock protocols; adds overhead.
 	Trace func(ev TraceEvent)
-	// DisableRunAhead routes every operation through the scheduler channel
-	// handoff (the pre-fast-path protocol). Results are bit-identical
+	// DisableRunAhead routes every operation through the scheduler loop in
+	// Machine.Run instead of granting it inline. Results are bit-identical
 	// either way; the flag exists for benchmarks quantifying the run-ahead
 	// fast path and for the equivalence tests that prove the claim.
 	DisableRunAhead bool
@@ -217,7 +220,6 @@ type line struct {
 const (
 	stReady int32 = iota
 	stParked
-	stDone
 )
 
 // Result summarizes a completed run.
@@ -225,9 +227,8 @@ type Result struct {
 	// Now is the virtual time at which the run stopped.
 	Now int64
 	// Events is the number of simulation events granted: one per simulated
-	// operation slot, whether the grant went through the scheduler channel
-	// or the run-ahead fast path. The count is bit-identical under both
-	// protocols (and to the pre-fast-path simulator).
+	// operation slot, whether the grant went through the scheduler loop or the
+	// run-ahead fast path. The count is bit-identical under both routes.
 	Events uint64
 	// Deadlock reports that the event queue drained with threads still
 	// parked before the horizon was reached.
@@ -255,19 +256,12 @@ type Machine struct {
 	cellLine map[*lockapi.Cell]*line
 	lineSeq  int
 	q        eventq.Queue[*Proc]
-	yield    chan struct{}
 	threads  []*Proc
 	horizon  int64
 	now      int64
 	events   uint64
 	started  bool
 	noRA     bool
-	// horizonHit is set by a thread whose direct handoff (Proc.handoff)
-	// found the next event past the horizon; the scheduler finalizes.
-	horizonHit bool
-	// panicked is the thread whose workload function panicked; set by the
-	// thread wrapper before its final yield so the scheduler can propagate.
-	panicked *Proc
 }
 
 // New builds a machine from cfg. It panics on an invalid topology, since
@@ -297,7 +291,6 @@ func New(cfg Config) *Machine {
 		trace:    cfg.Trace,
 		lines:    make(map[any]*line),
 		cellLine: make(map[*lockapi.Cell]*line),
-		yield:    make(chan struct{}),
 		noRA:     cfg.DisableRunAhead,
 	}
 }
@@ -321,15 +314,13 @@ func (m *Machine) Spawn(cpu int, fn func(p *Proc)) *Proc {
 	if cpu < 0 || cpu >= m.topo.NumCPUs() {
 		panic(fmt.Sprintf("memsim: cpu %d out of range [0,%d)", cpu, m.topo.NumCPUs()))
 	}
-	p := &Proc{
-		m:      m,
-		cpu:    cpu,
-		resume: make(chan struct{}),
-		rng:    m.rng.Split(),
-	}
+	p := &Proc{m: m, cpu: cpu, rng: m.rng.Split()}
+	p.th = vthread.Spawn(func() {
+		stackReserve()
+		fn(p)
+	})
 	m.threads = append(m.threads, p)
 	m.q.Push(0, p)
-	go p.run(fn)
 	return p
 }
 
@@ -338,19 +329,17 @@ func (m *Machine) Spawn(cpu int, fn func(p *Proc)) *Proc {
 // returns statistics; Deadlock is set if every remaining thread is parked
 // with no pending event before the horizon.
 //
-// The scheduler loop below is mostly idle: fast-path operations advance
-// m.now and m.events inline from the running thread (Proc.yieldAt), and
-// slow-path grants hand off thread-to-thread (Proc.handoff) without waking
-// the scheduler. The loop only runs to start threads, to re-grant after a
-// thread exits, and to finalize on horizon overrun, queue exhaustion, or a
-// workload panic. (With Config.DisableRunAhead both shortcuts are off and
-// every grant flows through this loop, as in the original protocol.)
+// The loop below is the execution core's one scheduler: it grants the earliest
+// queued event to its thread. Grants the running thread may take inline
+// never reach it (Proc.yieldAt). A panic in a workload function propagates
+// out of Run with its original value, after every other thread is stopped.
 func (m *Machine) Run(horizon int64) Result {
 	if m.started {
 		panic("memsim: Run called twice")
 	}
 	m.started = true
 	m.horizon = horizon
+	defer m.shutdown()
 
 	horizonHit := false
 	for {
@@ -365,16 +354,7 @@ func (m *Machine) Run(horizon int64) Result {
 		}
 		m.now = t
 		m.events++
-		p.resume <- struct{}{}
-		<-m.yield
-		if m.panicked != nil {
-			m.shutdown()
-			panic(m.panicked.panicVal)
-		}
-		if m.horizonHit {
-			horizonHit = true
-			break
-		}
+		p.th.Resume()
 	}
 
 	res := Result{Now: m.now, Events: m.events}
@@ -387,20 +367,14 @@ func (m *Machine) Run(horizon int64) Result {
 	if !horizonHit && len(res.ParkedCPUs) > 0 {
 		res.Deadlock = true
 	}
-	m.shutdown()
 	return res
 }
 
-// shutdown terminates all live virtual CPUs. Each is blocked waiting for its
-// turn; closing its resume channel makes waitTurn panic with the stop
-// sentinel, which the thread wrapper converts into a final yield.
+// shutdown stops every virtual CPU that has not finished, unwinding the
+// suspended ones (see vthread.Thread.Stop).
 func (m *Machine) shutdown() {
 	for _, p := range m.threads {
-		if p.state == stDone {
-			continue
-		}
-		close(p.resume)
-		<-m.yield
+		p.th.Stop()
 	}
 }
 

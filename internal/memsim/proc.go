@@ -2,12 +2,9 @@ package memsim
 
 import (
 	"github.com/clof-go/clof/internal/lockapi"
+	"github.com/clof-go/clof/internal/vthread"
 	"github.com/clof-go/clof/internal/xrand"
 )
-
-// simStop is the sentinel panic used to unwind a virtual CPU's stack when
-// the machine shuts down while the thread is still blocked or spinning.
-type simStop struct{}
 
 // plstate is a thread's private view of one line: which version it has
 // cached (if any).
@@ -22,13 +19,11 @@ type plstate struct {
 // event count proportional to actual coherence traffic, not to spin
 // iterations).
 type Proc struct {
-	m      *Machine
-	cpu    int
-	time   int64
-	resume chan struct{}
-	state  int32
-	// panicVal carries a workload panic to the scheduler goroutine.
-	panicVal any
+	m     *Machine
+	cpu   int
+	time  int64
+	th    *vthread.Thread
+	state int32
 
 	// lines is this thread's private per-line state, densely indexed by
 	// line.id. Entry pointers handed out by pls stay valid across parks:
@@ -93,7 +88,7 @@ func (p *Proc) Expired() bool {
 func (p *Proc) Rand() *xrand.Rand { return p.rng }
 
 // stackReserve pre-grows the calling goroutine's stack in a single step.
-// Virtual CPU goroutines are numerous and short-lived, and their first lock
+// Virtual CPU coroutines are numerous and short-lived, and their first lock
 // acquisition otherwise pays a cascade of incremental 2K→4K→8K→16K stack
 // copies (runtime.copystack shows up prominently in profiles of quick
 // sweeps); one oversized dead frame reserves the depth up front.
@@ -104,42 +99,18 @@ func stackReserve() byte {
 	return pad[len(pad)-1]
 }
 
-// run is the virtual CPU goroutine body.
-func (p *Proc) run(fn func(*Proc)) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, stop := r.(simStop); !stop {
-				p.panicVal = r
-				p.m.panicked = p
-			}
-		}
-		p.state = stDone
-		p.m.yield <- struct{}{}
-	}()
-	stackReserve()
-	p.waitTurn()
-	fn(p)
-}
-
-// waitTurn blocks until the scheduler grants this thread its next event.
-func (p *Proc) waitTurn() {
-	if _, ok := <-p.resume; !ok {
-		panic(simStop{})
-	}
-}
-
 // yieldAt schedules this thread's next event at its local time and returns
 // once the event is granted.
 //
 // This is the execution core's run-ahead fast path: while this thread
 // remains strictly the globally earliest event — the exact condition under
-// which the scheduler's next pop would re-grant it anyway (a tie loses to
-// the queued entry, whose earlier push holds the smaller sequence number) —
-// and the horizon has not passed, the grant happens inline: advance the
-// machine clock and event count and keep executing, paying no channel
-// handoff. Otherwise fall back to the scheduler round-trip. Both routes
-// grant the same (time, seq) order, so the simulation is bit-identical with
-// the fast path on or off.
+// which the scheduler loop's next pop would re-grant it anyway (a tie loses
+// to the queued entry, whose earlier push holds the smaller sequence
+// number) — and the horizon has not passed, the grant happens inline: advance the machine
+// clock and event count and keep executing, with no coroutine switch.
+// Otherwise queue the event and yield to the scheduler loop in Machine.Run.
+// Both routes grant the same (time, seq) order, so the simulation is
+// bit-identical with the fast path on or off.
 func (p *Proc) yieldAt() {
 	m := p.m
 	if !m.noRA {
@@ -151,39 +122,7 @@ func (p *Proc) yieldAt() {
 	}
 	p.state = stReady
 	m.q.Push(p.time, p)
-	p.handoff()
-}
-
-// handoff gives up the turn. When run-ahead is enabled this is a direct
-// thread-to-thread grant: the yielding thread performs the scheduler's next
-// step itself — pop the earliest event, advance the clock, count the event —
-// and resumes the winner with a single channel send, waking the scheduler
-// goroutine only to finalize (horizon overrun or an empty queue). The grant
-// sequence is the queue's (time, seq) pop order either way, so this is
-// invisible in simulation results. With DisableRunAhead it degenerates to
-// the original protocol: wake the scheduler, let it re-grant.
-func (p *Proc) handoff() {
-	m := p.m
-	if m.noRA {
-		m.yield <- struct{}{}
-		p.waitTurn()
-		return
-	}
-	t, next, ok := m.q.Pop()
-	switch {
-	case !ok:
-		// Nothing runnable: the scheduler decides (run end or deadlock).
-		m.yield <- struct{}{}
-	case m.horizon > 0 && t > m.horizon:
-		m.now = m.horizon
-		m.horizonHit = true
-		m.yield <- struct{}{}
-	default:
-		m.now = t
-		m.events++
-		next.resume <- struct{}{}
-	}
-	p.waitTurn()
+	p.th.Yield()
 }
 
 // emit reports a trace event if tracing is enabled. The TraceEvent is only
@@ -213,7 +152,7 @@ func (p *Proc) park(ln *line) {
 	p.state = stParked
 	p.Parks++
 	ln.watchers = append(ln.watchers, p)
-	p.handoff()
+	p.th.Yield()
 	// The waker forwarded fresh data; do not immediately re-park on it.
 	p.spunSincePoll = false
 	p.justWoke = true

@@ -1,6 +1,9 @@
 package xrand
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // This file adds the YCSB-style Zipfian item generator (Gray et al.,
 // "Quickly Generating Billion-Record Synthetic Databases", SIGMOD'94 — the
@@ -22,14 +25,15 @@ type Zipf struct {
 }
 
 // NewZipf builds a generator over [0, n) with skew theta, drawing randomness
-// from r. Construction is O(n) (it computes the harmonic normalizer); reuse
-// one generator per worker rather than rebuilding per draw. It panics if
-// n <= 0 or theta is outside (0, 1).
+// from r. The first construction for a given (n, theta) is O(n) (it computes
+// the harmonic normalizer); later ones reuse the memoised value, so one
+// generator per worker costs one O(n) sum per keyspace, not per worker. It
+// panics if n <= 0 or theta is outside (0, 1).
 func NewZipf(r *Rand, n uint64, theta float64) *Zipf {
 	if n <= 0 {
 		panic("xrand: NewZipf with non-positive n")
 	}
-	if theta <= 0 || theta >= 1 {
+	if !(theta > 0 && theta < 1) { // also rejects NaN
 		panic("xrand: NewZipf theta must be in (0, 1)")
 	}
 	z := &Zipf{r: r, n: n, theta: theta}
@@ -40,8 +44,32 @@ func NewZipf(r *Rand, n uint64, theta float64) *Zipf {
 	return z
 }
 
-// zeta computes the generalized harmonic number sum_{i=1..n} 1/i^theta.
+// zetaKey identifies one Zipf normalizer.
+type zetaKey struct {
+	n     uint64
+	theta float64
+}
+
+// zetaMemo caches zeta by (n, theta) for the life of the process. Workloads
+// build one generator per virtual thread for every sweep point over the same
+// few keyspaces, so the set of keys stays small while the O(n) sums it saves
+// dominated sweep CPU. sync.Map keeps it safe under parallel sweep points.
+var zetaMemo sync.Map // zetaKey -> float64
+
+// zeta returns the generalized harmonic number sum_{i=1..n} 1/i^theta,
+// computed once per (n, theta). The memoised value is the same float64 that
+// zetaSum returns, so generators are bit-identical with or without the memo.
 func zeta(n uint64, theta float64) float64 {
+	k := zetaKey{n, theta}
+	if v, ok := zetaMemo.Load(k); ok {
+		return v.(float64)
+	}
+	v, _ := zetaMemo.LoadOrStore(k, zetaSum(n, theta))
+	return v.(float64)
+}
+
+// zetaSum computes sum_{i=1..n} 1/i^theta directly.
+func zetaSum(n uint64, theta float64) float64 {
 	sum := 0.0
 	for i := uint64(1); i <= n; i++ {
 		sum += 1 / math.Pow(float64(i), theta)

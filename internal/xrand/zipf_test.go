@@ -1,6 +1,10 @@
 package xrand
 
-import "testing"
+import (
+	"math"
+	"sync"
+	"testing"
+)
 
 // TestZipfRange: every draw lands in [0, n).
 func TestZipfRange(t *testing.T) {
@@ -60,6 +64,7 @@ func TestZipfPanics(t *testing.T) {
 		{"zero-n", 0, 0.99},
 		{"theta-0", 10, 0},
 		{"theta-1", 10, 1},
+		{"theta-nan", 10, math.NaN()},
 	} {
 		func() {
 			defer func() {
@@ -69,5 +74,53 @@ func TestZipfPanics(t *testing.T) {
 			}()
 			NewZipf(New(1), tc.n, tc.theta)
 		}()
+	}
+}
+
+// TestZetaMemoBitIdentical: the memoised normalizer is the same float64 as
+// the direct sum, on first computation and on every cache hit, so memoising
+// cannot move any Zipf draw.
+func TestZetaMemoBitIdentical(t *testing.T) {
+	for _, tc := range []struct {
+		n     uint64
+		theta float64
+	}{{1, 0.5}, {2, 0.99}, {500, 0.9}, {4096, 0.99}, {100000, 0.7}} {
+		want := math.Float64bits(zetaSum(tc.n, tc.theta))
+		for i := 0; i < 2; i++ {
+			if got := math.Float64bits(zeta(tc.n, tc.theta)); got != want {
+				t.Errorf("zeta(%d, %v) call %d = %#x, direct sum %#x", tc.n, tc.theta, i, got, want)
+			}
+		}
+	}
+}
+
+// TestZipfConcurrentConstruction: parallel sweep points build generators
+// over the same and different keyspaces at once. Run under -race, this
+// pins the memo as data-race-free; every worker must also draw the same
+// streams.
+func TestZipfConcurrentConstruction(t *testing.T) {
+	const workers = 8
+	ns := []uint64{3000, 3001, 3002}
+	streams := make([][]uint64, workers)
+	var wg sync.WaitGroup
+	for w := range streams {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, n := range ns {
+				z := NewZipf(New(5), n, 0.8)
+				for j := 0; j < 100; j++ {
+					streams[w] = append(streams[w], z.Next())
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for w, s := range streams[1:] {
+		for j := range s {
+			if s[j] != streams[0][j] {
+				t.Fatalf("worker %d draw %d = %d, worker 0 drew %d", w+1, j, s[j], streams[0][j])
+			}
+		}
 	}
 }

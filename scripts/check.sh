@@ -12,9 +12,11 @@
 #      doc comments on exported declarations; scripts/doccheck.sh)
 #   5. go test ./...            (tier-1, includes the model-checker suites)
 #   6. go test -race            on every package except mcheck
-#      (mcheck is excluded from the race pass: its replay engine is
-#      single-goroutine, so -race only multiplies its minutes-long
-#      exhaustive searches without checking anything new)
+#      (mcheck is excluded from the race pass: its thread bodies run
+#      one at a time under the explorer's control (internal/vthread),
+#      so -race only multiplies its minutes-long exhaustive searches
+#      without checking anything new; race builds run vthread's
+#      goroutine-backed twin, see internal/vthread/vthread_race.go)
 #   7. clof-chaos smoke run, twice, byte-compared — the determinism
 #      guarantee the robustness report rests on
 #   8. make figures-quick       (experiment engine smoke: a small figure
@@ -60,8 +62,9 @@ go test ./...
 
 echo "== go test -race (all packages except mcheck)"
 # Derived, not hand-listed, so new packages are raced by default. mcheck is
-# excluded: its replay engine is single-goroutine, so -race finds nothing
-# there and multiplies its exhaustive-search runtime.
+# excluded: its thread bodies run one at a time under the explorer's
+# control, so -race finds nothing there and multiplies its exhaustive-search
+# runtime.
 go test -race $(go list ./... | grep -v '/internal/mcheck$')
 
 echo "== clof-chaos smoke (determinism)"
